@@ -25,10 +25,16 @@ load.  This module generalises it into three pieces:
   headroom, scaling *ahead* of the provisioning delay.
 * :class:`Autoscaler` — the control loop.  Evaluation ticks are
   barrier-exempt control-plane stream timers (the PR 6/8
-  ``set_control_timer`` machinery): they fire alone at their exact time and
-  never run the micro-batch flush barrier, so a scaling decision can never
-  change micro-batch composition — an autoscaled run whose fleet never
-  resizes is bit-identical to the ``ServerModel`` path.
+  ``set_control_timer`` machinery).  A tick never runs the micro-batch
+  flush barrier and is invisible to the queue's flush point
+  (``next_timer_at``): when it is the earliest pending timer it fires alone
+  at its exact time, and when it falls inside a session-update wave (same
+  second as an earlier-registered session timer, or within the stream's
+  coalescing window) it is delivered in that wave at its (fire time,
+  registration) position, after the barrier the wave ran anyway.  Either
+  way a scaling decision can never change micro-batch composition — an
+  autoscaled run whose fleet never resizes is bit-identical to the
+  ``ServerModel`` path.
 
 Wired through ``EngineConfig.autoscale`` (see
 :class:`~repro.serving.engine.EngineConfig`); all ``autoscale.*``
@@ -420,8 +426,9 @@ class Autoscaler:
     identically to every policy so the frontier compares signals, not drain
     schedules.
 
-    Ticks fire alone at their exact fire time and never run the micro-batch
-    flush barrier — scaling can never change batch composition, so an
+    Ticks are control-plane timers (see ``StreamProcessor.set_control_timer``
+    for where one lands relative to a session-update wave) and never run the
+    micro-batch flush barrier — scaling can never change batch composition, so an
     autoscaled engine whose fleet never resizes is bit-identical to the
     ``ServerModel`` path (pinned by ``tests/test_autoscale.py``).
     """

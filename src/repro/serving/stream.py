@@ -67,7 +67,7 @@ class TimerGroup:
 
     def set_timer(self, fire_at: int, key: str, payload: Any = None) -> None:
         """Schedule a wave-delivered timer for ``key`` at ``fire_at``."""
-        self._stream._push_timer(fire_at, key, None, self, payload)
+        self._stream._push_timer(self._stream._timers, fire_at, key, None, self, payload)
 
 
 class StreamProcessor:
@@ -87,10 +87,13 @@ class StreamProcessor:
         self._buffers: dict[str, list[StreamEvent]] = {}
         # Heap entries: (fire_at, seq, key, callback, group, payload) with
         # callback/group mutually exclusive.  ``seq`` makes entries unique so
-        # callbacks are never compared, and pins registration order.
+        # callbacks are never compared, and pins registration order.  Data
+        # and control timers live in separate heaps drawing on one ``seq``
+        # counter, so the data heap's top is the flush barrier and the two
+        # heaps merge back into one (fire_at, seq) order when fired.
         self._timers: list[tuple[int, int, str, Any, TimerGroup | None, Any]] = []
+        self._control_timers: list[tuple[int, int, str, Any, None, None]] = []
         self._counter = itertools.count()
-        self._control_seqs: set[int] = set()
         self._barriers: dict[int, Callable[[], None]] = {}
         self._barrier_ids = itertools.count()
         self.clock: int = 0
@@ -108,12 +111,10 @@ class StreamProcessor:
         self._buffers.setdefault(event.key, []).append(event)
         self.events_published += 1
 
-    def _push_timer(self, fire_at: int, key: str, callback, group, payload) -> int:
+    def _push_timer(self, heap: list, fire_at: int, key: str, callback, group, payload) -> None:
         if fire_at < self.clock:
             raise ValueError(f"timer at {fire_at} is earlier than the stream clock {self.clock}")
-        seq = next(self._counter)
-        heapq.heappush(self._timers, (fire_at, seq, key, callback, group, payload))
-        return seq
+        heapq.heappush(heap, (fire_at, next(self._counter), key, callback, group, payload))
 
     def set_timer(self, fire_at: int, key: str, callback: Callable[[str, list[StreamEvent]], None]) -> None:
         """Schedule ``callback(key, buffered_events)`` at ``fire_at``.
@@ -121,7 +122,7 @@ class StreamProcessor:
         Plain timers fire one at a time even inside a wave; use
         :meth:`timer_group` when the receiver can consume a whole wave.
         """
-        self._push_timer(fire_at, key, callback, None, None)
+        self._push_timer(self._timers, fire_at, key, callback, None, None)
 
     def set_control_timer(self, fire_at: int, key: str, callback: Callable[[str, list[StreamEvent]], None]) -> None:
         """Schedule a barrier-exempt *control-plane* timer.
@@ -133,10 +134,19 @@ class StreamProcessor:
         — change *placement*, never a stored value, so flushing the
         micro-batch for them would change batch composition (and, through
         shape-dependent BLAS kernels, the low-order bits of scores) for no
-        correctness gain.  Control timers fire one at a time at their exact
-        fire time, never joining (or widening) a coalesced wave.
+        correctness gain.
+
+        A control timer that is the earliest pending timer (by fire time,
+        then registration order) fires alone, at its exact fire time,
+        without running the barriers.  One that falls inside a wave already
+        being formed — due in the same fire second as an earlier-registered
+        data-plane timer, or within ``coalescing_window`` of the wave's
+        first timer — is delivered inside that wave at its (fire_at,
+        registration) position, like a plain :meth:`set_timer` callback,
+        after the barriers that the wave ran.  Control timers are invisible
+        to :attr:`next_timer_at`.
         """
-        self._control_seqs.add(self._push_timer(fire_at, key, callback, None, None))
+        self._push_timer(self._control_timers, fire_at, key, callback, None, None)
 
     def timer_group(self, callback: Callable[[list[TimerFiring]], None]) -> TimerGroup:
         """Create a :class:`TimerGroup` whose timers are delivered wave-at-a-time."""
@@ -167,6 +177,13 @@ class StreamProcessor:
         del self._barriers[handle]
 
     # ------------------------------------------------------------------
+    def _head(self) -> list | None:
+        """The heap holding the earliest pending timer by (fire_at, seq), or ``None``."""
+        data, control = self._timers, self._control_timers
+        if control and (not data or control[0] < data[0]):
+            return control
+        return data or None
+
     def advance_to(self, timestamp: int) -> int:
         """Advance the clock, firing every timer due at or before ``timestamp``.
 
@@ -179,13 +196,12 @@ class StreamProcessor:
         if timestamp < self.clock:
             raise ValueError("the stream clock cannot move backwards")
         fired = 0
-        while self._timers and self._timers[0][0] <= timestamp:
-            if self._timers[0][1] in self._control_seqs:
+        while (head := self._head()) is not None and head[0][0] <= timestamp:
+            if head is self._control_timers:
                 # Control-plane timer: fire alone, barrier-exempt, and leave
                 # any data-plane timer due at the same instant for the next
                 # loop pass (where the barriers run before its wave forms).
-                fire_at, seq, key, callback, _, _ = heapq.heappop(self._timers)
-                self._control_seqs.discard(seq)
+                fire_at, _, key, callback, _, _ = heapq.heappop(head)
                 self.clock = fire_at
                 self.timers_fired += 1
                 fired += 1
@@ -193,12 +209,13 @@ class StreamProcessor:
                 continue
             for barrier in list(self._barriers.values()):
                 barrier()
-            if not (self._timers and self._timers[0][0] <= timestamp):
+            head = self._head()
+            if head is None or head[0][0] > timestamp:
                 break
-            deadline = min(timestamp, self._timers[0][0] + self.coalescing_window)
+            deadline = min(timestamp, head[0][0] + self.coalescing_window)
             wave = []
-            while self._timers and self._timers[0][0] <= deadline:
-                wave.append(heapq.heappop(self._timers))
+            while (head := self._head()) is not None and head[0][0] <= deadline:
+                wave.append(heapq.heappop(head))
             self.clock = wave[-1][0]
             self.waves_fired += 1
             self.timers_fired += len(wave)
@@ -235,16 +252,17 @@ class StreamProcessor:
         return runs
 
     def flush(self) -> int:
-        """Fire all remaining timers regardless of the clock."""
-        if not self._timers:
+        """Fire all remaining timers, data and control, regardless of the clock."""
+        pending = self._timers + self._control_timers
+        if not pending:
             return 0
-        last = max(t[0] for t in self._timers)
-        return self.advance_to(last)
+        return self.advance_to(max(t[0] for t in pending))
 
     # ------------------------------------------------------------------
     @property
     def pending_timers(self) -> int:
-        return len(self._timers)
+        """Timers registered but not yet fired, data and control alike."""
+        return len(self._timers) + len(self._control_timers)
 
     @property
     def next_timer_at(self) -> int | None:
@@ -255,14 +273,11 @@ class StreamProcessor:
         could rewrite a hidden state they depend on.  Control-plane timers
         (:meth:`set_control_timer`) never rewrite stored values, so they are
         invisible here — otherwise a pending fault-injection timer would
-        force an early flush and change micro-batch composition.
+        force an early flush and change micro-batch composition.  O(1):
+        control timers live in their own heap, so this is the top of the
+        data-plane heap.
         """
-        if not self._timers:
-            return None
-        if not self._control_seqs:
-            return self._timers[0][0]
-        due = [t[0] for t in self._timers if t[1] not in self._control_seqs]
-        return min(due) if due else None
+        return self._timers[0][0] if self._timers else None
 
     @property
     def buffered_keys(self) -> int:

@@ -1,7 +1,7 @@
 """Property suite for the wave-coalesced timer scheduler.
 
 Randomized timer/publish interleavings (explicit seeds, many trials) pin the
-two claims the serving engine leans on:
+claims the serving engine leans on:
 
 * **Order** — wave delivery is a pure regrouping: the flattened firing
   sequence equals the per-timer sequence exactly, and intra-wave ordering is
@@ -13,12 +13,22 @@ two claims the serving engine leans on:
   KV traffic, and per-shard meter totals.  The update kernels are
   batch-size invariant (``row_stable_linear``), so this holds exactly, not
   just to tolerance.
+* **Control timers** — barrier-exempt ``set_control_timer`` timers keep the
+  single-heap delivery order the pins were recorded with (checked against
+  that algorithm, kept below as an oracle, by a Hypothesis property test),
+  while ``next_timer_at`` ignores them and stays O(1).
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import ContextField, ContextSchema
 from repro.features.sequence import SequenceBuilder
@@ -29,6 +39,7 @@ from repro.serving import (
     ShardedKeyValueStore,
     StreamEvent,
     StreamProcessor,
+    TimerFiring,
     replay_sessions_through_service,
 )
 
@@ -135,6 +146,349 @@ class TestWaveOrdering:
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):
             StreamProcessor(coalescing_window=-1)
+
+
+# ----------------------------------------------------------------------
+# Control-plane timers: barrier-exempt, invisible to the flush barrier.
+# ----------------------------------------------------------------------
+def control_stream(window=0):
+    """A stream whose barrier, group, plain and control deliveries append to one log.
+
+    Each delivery records the stream clock at the moment it ran, so the
+    log pins both order and the clock a callback observes.
+    """
+    stream = StreamProcessor(coalescing_window=window)
+    log: list[tuple] = []
+    stream.register_barrier(lambda: log.append(("barrier", stream.clock)))
+    group = stream.timer_group(
+        lambda firings: log.append(("wave", [f.key for f in firings], stream.clock))
+    )
+
+    def deliver(key, events):
+        log.append((key, stream.clock))
+
+    return stream, group, deliver, log
+
+
+def traced_lines(read) -> int:
+    """Python lines executed while calling ``read()``, counted with ``sys.settrace``."""
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        read()
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+class TestControlTimers:
+    @pytest.mark.parametrize("window", [0, 10])
+    def test_control_timer_registered_after_a_data_timer_joins_its_wave(self, window):
+        stream, group, deliver, log = control_stream(window)
+        group.set_timer(50, "d")
+        stream.set_control_timer(50 + window, "c", deliver)
+        assert stream.pending_timers == 2
+        assert stream.next_timer_at == 50
+        assert stream.advance_to(70) == 2
+        # One wave: barriers first, then (fire_at, registration) order; the
+        # wave sets the clock to its last fire time before delivering.
+        assert log == [("barrier", 0), ("wave", ["d"], 50 + window), ("c", 50 + window)]
+        assert (stream.clock, stream.timers_fired, stream.waves_fired) == (70, 2, 1)
+        assert stream.pending_timers == 0
+        assert stream.next_timer_at is None
+
+    @pytest.mark.parametrize("window", [0, 10])
+    def test_control_timer_registered_first_fires_alone_without_barriers(self, window):
+        stream, group, deliver, log = control_stream(window)
+        stream.set_control_timer(50, "c", deliver)
+        group.set_timer(50, "d")
+        assert stream.pending_timers == 2
+        assert stream.next_timer_at == 50
+        assert stream.advance_to(70) == 2
+        assert log == [("c", 50), ("barrier", 50), ("wave", ["d"], 50)]
+        assert (stream.clock, stream.timers_fired, stream.waves_fired) == (70, 2, 1)
+
+    def test_control_timer_earlier_than_the_wave_is_not_absorbed(self):
+        stream, group, deliver, log = control_stream(window=10)
+        group.set_timer(100, "d")
+        stream.set_control_timer(95, "c", deliver)
+        stream.set_control_timer(111, "late", deliver)
+        assert stream.advance_to(200) == 3
+        # The wave opens at 100 and closes at 110: "late" fires alone after it.
+        assert log == [("c", 95), ("barrier", 95), ("wave", ["d"], 100), ("late", 111)]
+        assert (stream.timers_fired, stream.waves_fired) == (3, 1)
+
+    @pytest.mark.parametrize("control_first", [True, False])
+    @pytest.mark.parametrize("window", [0, 10])
+    def test_next_timer_at_ignores_control_timers_before_and_after_they_fire(self, control_first, window):
+        stream, group, deliver, _ = control_stream(window)
+        stream.set_control_timer(5, "only", deliver)
+        assert stream.next_timer_at is None
+        assert stream.pending_timers == 1
+        if control_first:
+            stream.set_control_timer(20, "c", deliver)
+            group.set_timer(20, "d")
+        else:
+            group.set_timer(20, "d")
+            stream.set_control_timer(20, "c", deliver)
+        group.set_timer(40, "d2")
+        assert stream.next_timer_at == 20
+        assert stream.pending_timers == 4
+        stream.advance_to(30)
+        assert stream.next_timer_at == 40
+        assert stream.pending_timers == 1
+        stream.set_control_timer(35, "c2", deliver)
+        assert stream.next_timer_at == 40
+        assert stream.pending_timers == 2
+
+    @pytest.mark.parametrize("window", [0, 10])
+    def test_flush_fires_a_control_timer_after_the_last_data_timer(self, window):
+        stream, group, deliver, log = control_stream(window)
+        group.set_timer(10, "d")
+        stream.set_control_timer(500, "c", deliver)
+        assert stream.flush() == 2
+        assert log == [("barrier", 0), ("wave", ["d"], 10), ("c", 500)]
+        assert (stream.clock, stream.timers_fired, stream.waves_fired) == (500, 2, 1)
+        assert stream.pending_timers == 0
+        assert stream.flush() == 0
+
+    @pytest.mark.parametrize("control_first", [True, False])
+    @pytest.mark.parametrize("window", [0, 10])
+    def test_next_timer_at_cost_does_not_grow_with_pending_timers(self, control_first, window):
+        """The flush barrier is read on every submit; it must stay O(1)
+        however many timers are pending, including after a control timer
+        was delivered inside a wave (which once left stale bookkeeping
+        behind and sent every later read down a full heap scan)."""
+        stream, group, deliver, _ = control_stream(window)
+        if control_first:
+            stream.set_control_timer(50, "c", deliver)
+            group.set_timer(50, "d")
+        else:
+            group.set_timer(50, "d")
+            stream.set_control_timer(50 + window, "c", deliver)
+        stream.set_control_timer(10_000, "tick", deliver)
+        stream.advance_to(100)
+        for i in range(10):
+            group.set_timer(200 + i, f"s{i}")
+        few = traced_lines(lambda: stream.next_timer_at)
+        for i in range(1000):
+            group.set_timer(300 + i, f"m{i}")
+            stream.set_control_timer(300 + i, f"t{i}", deliver)
+        assert traced_lines(lambda: stream.next_timer_at) == few
+        assert stream.next_timer_at == 200
+
+
+# ----------------------------------------------------------------------
+# Property: the two-heap scheduler against the single-heap algorithm.
+# ----------------------------------------------------------------------
+class SingleHeapStream:
+    """Oracle: the one-heap timer scheduler that control timers first shipped
+    with (control timers tagged by ``seq`` in a side set, the flush barrier a
+    scan of the heap).  Timer delivery only; events are buffered as in
+    :class:`StreamProcessor`."""
+
+    def __init__(self, coalescing_window=0):
+        self.coalescing_window = coalescing_window
+        self._buffers = {}
+        self._timers = []
+        self._counter = itertools.count()
+        self._control_seqs = set()
+        self._barriers = []
+        self.clock = 0
+        self.timers_fired = 0
+        self.waves_fired = 0
+
+    def publish(self, event):
+        self._buffers.setdefault(event.key, []).append(event)
+
+    def _push_timer(self, fire_at, key, callback, group, payload):
+        assert fire_at >= self.clock
+        seq = next(self._counter)
+        heapq.heappush(self._timers, (fire_at, seq, key, callback, group, payload))
+        return seq
+
+    def set_timer(self, fire_at, key, callback):
+        self._push_timer(fire_at, key, callback, None, None)
+
+    def set_control_timer(self, fire_at, key, callback):
+        self._control_seqs.add(self._push_timer(fire_at, key, callback, None, None))
+
+    def timer_group(self, callback):
+        stream = self
+
+        class Group:
+            def set_timer(self, fire_at, key, payload=None):
+                stream._push_timer(fire_at, key, None, self, payload)
+
+        group = Group()
+        group.callback = callback
+        return group
+
+    def register_barrier(self, callback):
+        self._barriers.append(callback)
+
+    def advance_to(self, timestamp):
+        assert timestamp >= self.clock
+        fired = 0
+        while self._timers and self._timers[0][0] <= timestamp:
+            if self._timers[0][1] in self._control_seqs:
+                fire_at, seq, key, callback, _, _ = heapq.heappop(self._timers)
+                self._control_seqs.discard(seq)
+                self.clock = fire_at
+                self.timers_fired += 1
+                fired += 1
+                callback(key, self._buffers.pop(key, []))
+                continue
+            for barrier in list(self._barriers):
+                barrier()
+            if not (self._timers and self._timers[0][0] <= timestamp):
+                break
+            deadline = min(timestamp, self._timers[0][0] + self.coalescing_window)
+            wave = []
+            while self._timers and self._timers[0][0] <= deadline:
+                wave.append(heapq.heappop(self._timers))
+            self.clock = wave[-1][0]
+            self.waves_fired += 1
+            self.timers_fired += len(wave)
+            fired += len(wave)
+            for group, members in StreamProcessor._wave_runs(wave):
+                if group is None:
+                    for _, _, key, callback, _, _ in members:
+                        callback(key, self._buffers.pop(key, []))
+                else:
+                    group.callback(
+                        [
+                            TimerFiring(fire_at, key, self._buffers.pop(key, []), payload)
+                            for fire_at, _, key, _, _, payload in members
+                        ]
+                    )
+        self.clock = timestamp
+        return fired
+
+    def flush(self):
+        if not self._timers:
+            return 0
+        return self.advance_to(max(t[0] for t in self._timers))
+
+    @property
+    def pending_timers(self):
+        return len(self._timers)
+
+    @property
+    def next_timer_at(self):
+        due = [t[0] for t in self._timers if t[1] not in self._control_seqs]
+        return min(due) if due else None
+
+
+TIMER_KINDS = ("plain", "group0", "group1", "control")
+N_KEYS = 4
+timer_specs = st.tuples(st.sampled_from(TIMER_KINDS), st.integers(0, 12))
+stream_ops = st.lists(
+    st.one_of(
+        # (op, kind, offset from the clock, key, follow-up timer a delivery registers)
+        st.tuples(
+            st.just("timer"), st.sampled_from(TIMER_KINDS), st.integers(0, 40),
+            st.integers(0, N_KEYS - 1), st.none() | timer_specs,
+        ),
+        st.tuples(st.just("advance"), st.integers(0, 30)),
+        st.tuples(st.just("publish"), st.integers(0, N_KEYS - 1)),
+        st.just(("flush",)),
+    ),
+    max_size=40,
+)
+
+
+def drive(stream, ops, barrier_spawns):
+    """Run ``ops`` against ``stream``; returns the observable log.
+
+    Every delivery records ``(kind, key, fire_at, n_events, clock,
+    waves_fired)`` — ``waves_fired`` at delivery time marks wave
+    boundaries — barriers record the clock and wave count, and every call
+    records its return value, ``clock``, the counters and
+    ``next_timer_at``, which is also checked against a brute-force minimum
+    over the pending data-plane timers.
+    """
+    log: list[tuple] = []
+    data_pending: dict[int, int] = {}
+    ids = itertools.count()
+    spawns = iter(barrier_spawns)
+
+    def register(kind, fire_at, key, follow_up=None):
+        timer_id = next(ids)
+        payload = (timer_id, follow_up)
+        if kind.startswith("group"):
+            data_pending[timer_id] = fire_at
+            groups[kind].set_timer(fire_at, key, payload=payload)
+            return
+        if kind == "plain":
+            data_pending[timer_id] = fire_at
+        register_fn = stream.set_timer if kind == "plain" else stream.set_control_timer
+        register_fn(fire_at, key, lambda k, events: delivered(kind, k, fire_at, events, payload))
+
+    def delivered(kind, key, fire_at, events, payload):
+        timer_id, follow_up = payload
+        data_pending.pop(timer_id, None)
+        log.append((kind, key, fire_at, len(events), stream.clock, stream.waves_fired))
+        if follow_up is not None:
+            follow_kind, offset = follow_up
+            register(follow_kind, stream.clock + offset, key)
+
+    def on_wave(name):
+        def callback(firings):
+            log.append(("run", name, len(firings)))
+            for firing in firings:
+                delivered(name, firing.key, firing.fire_at, firing.events, firing.payload)
+
+        return callback
+
+    def barrier():
+        log.append(("barrier", stream.clock, stream.waves_fired))
+        spawn = next(spawns, None)
+        if spawn is not None:
+            kind, offset = spawn
+            register(kind, stream.clock + offset, "k0")
+
+    groups = {name: stream.timer_group(on_wave(name)) for name in ("group0", "group1")}
+    stream.register_barrier(barrier)
+    for op in ops:
+        if op[0] == "timer":
+            _, kind, offset, key, follow_up = op
+            register(kind, stream.clock + offset, f"k{key}", follow_up)
+            result = None
+        elif op[0] == "advance":
+            result = stream.advance_to(stream.clock + op[1])
+        elif op[0] == "publish":
+            stream.publish(StreamEvent("ctx", f"k{op[1]}", stream.clock))
+            result = None
+        else:
+            result = stream.flush()
+        expected_next = min(data_pending.values()) if data_pending else None
+        assert stream.next_timer_at == expected_next
+        log.append(
+            (op[0], result, stream.clock, stream.timers_fired, stream.waves_fired,
+             stream.pending_timers, stream.next_timer_at)
+        )
+    return log
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    window=st.integers(0, 10),
+    ops=stream_ops,
+    barrier_spawns=st.lists(st.none() | timer_specs, max_size=6),
+)
+def test_two_heap_scheduler_matches_the_single_heap_oracle(window, ops, barrier_spawns):
+    expected = drive(SingleHeapStream(window), ops, barrier_spawns)
+    actual = drive(StreamProcessor(window), ops, barrier_spawns)
+    assert actual == expected
 
 
 # ----------------------------------------------------------------------
